@@ -96,7 +96,7 @@ fn solve(pos: &[&Atom], i: usize, db: &Database, env: Subst, rule: &Rule) -> Opt
         rel.has_index(col).then_some((col, value))
     });
     if let Some((col, value)) = probe {
-        for t in rel.probe(col, &value).as_slice() {
+        for t in rel.probe(col, &value).iter() {
             if let Some(env2) = unify_atom(atom, t, &env) {
                 if let Some(found) = solve(pos, i + 1, db, env2, rule) {
                     return Some(found);

@@ -77,16 +77,17 @@
 //!
 //! ## Verdict-cache persistence
 //!
-//! Stage-4 verdict validity is pinned by [`TupleSnapshot`] pointer
-//! equality, which cannot survive a process restart. A checkpoint
-//! therefore captures the *contents* of every verdict whose pins are
-//! live at checkpoint time; recovery re-installs them against the
-//! freshly loaded relations **before** WAL replay, taking fresh pins.
-//! Replaying a record that touches a relation then invalidates exactly
-//! the restored verdicts that read it — the pin mechanism itself
-//! enforces the "only where the pins revalidate" rule.
+//! Stage-4 verdict validity is keyed on [`Relation::stamp`]s, which come
+//! from a process-local counter and cannot survive a restart. A
+//! checkpoint therefore captures the *contents* of every verdict whose
+//! stamps are current at checkpoint time; recovery re-installs them
+//! against the freshly loaded relations **before** WAL replay, keyed on
+//! those relations' fresh stamps. Replaying a record that touches a
+//! relation draws it a new stamp and so invalidates exactly the restored
+//! verdicts that read it — the stamp mechanism itself enforces the "only
+//! where the keys revalidate" rule.
 //!
-//! [`TupleSnapshot`]: ccpi_storage::TupleSnapshot
+//! [`Relation::stamp`]: ccpi_storage::Relation::stamp
 
 use crate::manager::{ConstraintManager, ManagerError};
 use crate::remote::RemoteSource;

@@ -16,9 +16,7 @@ use ccpi_localtest::{compile_ra, extend_union, prepare_union, Cqc, IcqTest, Loca
 use ccpi_parser::ParseError;
 use ccpi_rewrite::independence::{independent_of_update, independent_of_update_rewrite};
 use ccpi_rewrite::pretest::{PreTestSet, PreVerdict};
-use ccpi_storage::{
-    Database, DeltaSet, Locality, Relation, StorageError, TupleSnapshot, Update, UpdateTemplate,
-};
+use ccpi_storage::{Database, DeltaSet, Locality, Relation, StorageError, Update, UpdateTemplate};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -106,20 +104,20 @@ struct Registered {
 
 /// One prepared Theorem 5.2 union plus its validity token.
 struct UnionCache {
-    /// Pin of the local relation's tuple set at preparation time. Pointer
-    /// equality against the live relation certifies the union still
-    /// matches the data (any mutation is forced through copy-on-write
-    /// while the pin is held, so stale hits are impossible).
-    snapshot: TupleSnapshot,
+    /// [`Relation::stamp`] of the local relation at preparation time. An
+    /// equal stamp on the live relation certifies the union still matches
+    /// the data: every changing write draws a fresh stamp and none is
+    /// reused, so a stale hit is impossible — and the cache holds no
+    /// version of the relation alive.
+    stamp: u64,
     union: PreparedUnion,
 }
 
-/// Validity pins: one entry per relevant relation — a snapshot of its
-/// tuple set, or `None` when the relation did not exist. All pins must
-/// still match the live database (pointer equality) for the pinned value
-/// to be reusable; every mutation path goes through copy-on-write, so a
-/// stale hit is impossible.
-type Pins = Vec<(String, Option<TupleSnapshot>)>;
+/// Validity pins: one entry per relevant relation — its
+/// [`Relation::stamp`], or `None` when the relation did not exist. All
+/// pins must still match the live database for the pinned value to be
+/// reusable; stamps are never reused, so a stale hit is impossible.
+type Pins = Vec<(String, Option<u64>)>;
 
 /// One memoized stage-4 verdict: valid while the update value and every
 /// relation the constraint reads are unchanged.
@@ -136,13 +134,13 @@ struct Stage4Cache {
 /// The memoized post-update snapshot shared by snapshot-path full checks:
 /// keyed on the update value plus the database's monotone
 /// [`Database::version`], so any committed mutation (applies, hydration,
-/// bulk loads, new declarations) invalidates it automatically. The
-/// version subsumes the per-relation pins an earlier revision kept here —
-/// this memo pinned *every* relation, so one global counter is exactly
-/// as precise and O(1) to compare. (The stage-3 union and stage-4 verdict
-/// caches keep per-relation `TupleSnapshot` pins instead: they must
-/// survive mutations to relations their constraint never reads, which a
-/// global counter cannot express.)
+/// bulk loads, new declarations) invalidates it automatically. This memo
+/// depends on *every* relation, so one global counter is exactly as
+/// precise as per-relation pins and O(1) to compare. (The stage-3 union
+/// and stage-4 verdict caches key on per-relation stamps instead: they
+/// must survive mutations to relations their constraint never reads,
+/// which a global counter cannot express.) `after` shares every node but
+/// the updated path with `self.db`, so keeping it costs O(log n).
 struct PostSnapshot {
     update: Update,
     version: u64,
@@ -739,9 +737,10 @@ impl ConstraintManager {
                     let ok = match hydrated.get(&pred) {
                         Some(&ok) => ok,
                         None => {
-                            // Hydration swaps the relation's tuple set,
-                            // so the memoized post-update snapshot's pins
-                            // go stale on their own — no manual reset.
+                            // Hydration swaps the relation's tuple set and
+                            // bumps the database version, so the memoized
+                            // post-update snapshot goes stale on its own —
+                            // no manual reset.
                             let ok = self.hydrate_remote(src, &pred);
                             hydrated.insert(pred.clone(), ok);
                             ok
@@ -1163,7 +1162,7 @@ impl ConstraintManager {
         // tuple's reductions, so a cache that is current at apply time can
         // be maintained incrementally instead of rebuilt from scratch on
         // the next check. (Deletes shrink unions and simply invalidate:
-        // the snapshot pin makes that automatic.) Currency must be judged
+        // the stamp change makes that automatic.) Currency must be judged
         // against the pre-apply tuple set.
         let current: Vec<bool> = match update {
             Update::Insert { pred, .. } => self.current_union_caches(pred.as_str()),
@@ -1191,14 +1190,14 @@ impl ConstraintManager {
                     .lock()
                     .expect("union cache lock poisoned")
                     .as_ref()
-                    .is_some_and(|c| c.snapshot.same_as(rel))
+                    .is_some_and(|c| c.stamp == rel.stamp())
             })
             .collect()
     }
 
     /// After `tuple` was inserted into `pred`, appends its reductions to
     /// every union cache that was current pre-insert (`current`) and
-    /// re-pins those caches to the post-insert tuple set.
+    /// re-keys those caches to the post-insert stamp.
     fn extend_union_caches(&mut self, pred: &str, tuple: &ccpi_storage::Tuple, current: &[bool]) {
         let Some(rel) = self.db.relation(pred) else {
             return;
@@ -1240,7 +1239,7 @@ impl ConstraintManager {
                 }
             }
             if ok {
-                cache.snapshot = rel.snapshot();
+                cache.stamp = rel.stamp();
             } else {
                 *slot = None;
             }
@@ -1309,7 +1308,7 @@ impl ConstraintManager {
         // union's disjuncts are tuple-independent and survive across
         // checks until the relation itself changes.
         let mut slot = reg.union_cache.lock().expect("union cache lock poisoned");
-        if !slot.as_ref().is_some_and(|c| c.snapshot.same_as(local)) {
+        if slot.as_ref().map(|c| c.stamp) != Some(local.stamp()) {
             *slot = self.build_union_cache(i, cqc, local, &red_t);
         }
         // A failed build (impossible for a validated CQC) is conservative:
@@ -1331,10 +1330,7 @@ impl ConstraintManager {
         local: &Relation,
         red_t: &Cq,
     ) -> Option<UnionCache> {
-        // Pin the tuple set *before* reading it, so a concurrent mutation
-        // (none exist today — checks share `&self` — but cheap insurance)
-        // could only invalidate, never falsely validate.
-        let snapshot = local.snapshot();
+        let stamp = local.stamp();
         let mut union = prepare_union(cqc, red_t, local).ok()?;
         for (j, other) in self.constraints.iter().enumerate() {
             if j == i {
@@ -1348,7 +1344,7 @@ impl ConstraintManager {
             }
             extend_union(&mut union, ocqc, local).ok()?;
         }
-        Some(UnionCache { snapshot, union })
+        Some(UnionCache { stamp, union })
     }
 
     /// Stage 4 — full evaluation of the constraint on the post-update
@@ -1360,7 +1356,7 @@ impl ConstraintManager {
     ///    analysis says the Δ decides the verdict, run the seeded plans
     ///    over the *pre-update* relations (no snapshot is ever built);
     /// 3. **snapshot fallback** — evaluate the engine against the
-    ///    memoized copy-on-write post-update snapshot.
+    ///    memoized post-update snapshot.
     ///
     /// The delta path leans on the paper's standing assumption (§2): the
     /// pre-update database satisfies the constraint, so a post-update
@@ -1420,8 +1416,8 @@ impl ConstraintManager {
             .edb_predicates()
             .into_iter()
             .map(|p| {
-                let snap = self.db.relation(p.as_str()).map(|r| r.snapshot());
-                (p.as_str().to_string(), snap)
+                let stamp = self.db.relation(p.as_str()).map(Relation::stamp);
+                (p.as_str().to_string(), stamp)
             })
             .collect();
         *self.constraints[i]
@@ -1437,15 +1433,11 @@ impl ConstraintManager {
     }
 
     /// Do all pins still match the live database? A relation that existed
-    /// must be the same tuple-set version; one that was absent must still
-    /// be absent.
+    /// must carry the same stamp; one that was absent must still be
+    /// absent.
     fn pins_current(&self, pins: &Pins) -> bool {
         pins.iter()
-            .all(|(pred, pin)| match (pin, self.db.relation(pred)) {
-                (Some(snap), Some(rel)) => snap.same_as(rel),
-                (None, None) => true,
-                _ => false,
-            })
+            .all(|(pred, pin)| *pin == self.db.relation(pred).map(Relation::stamp))
     }
 
     /// The solver this manager was configured with.
@@ -1474,9 +1466,9 @@ impl ConstraintManager {
 
     /// Stage-4 verdicts whose validity pins still match the live
     /// database — the entries a checkpoint may carry across a restart
-    /// (`TupleSnapshot` pins are process-local pointers and cannot be
-    /// persisted themselves; validity is re-established at restore time
-    /// against the freshly loaded relations).
+    /// (stamps come from a process-local counter and cannot be persisted
+    /// themselves; validity is re-established at restore time against the
+    /// freshly loaded relations' stamps).
     pub fn export_verdicts(&self) -> Vec<(String, Update, bool, usize, usize)> {
         self.constraints
             .iter()
@@ -1497,7 +1489,7 @@ impl ConstraintManager {
             .collect()
     }
 
-    /// Re-installs an exported stage-4 verdict, pinning it to the *live*
+    /// Re-installs an exported stage-4 verdict, keyed on the stamps of the *live*
     /// relations. Sound only when the relations the constraint reads
     /// hold exactly the contents they held when the verdict was
     /// exported — recovery establishes that by restoring verdicts
@@ -1587,11 +1579,11 @@ impl ConstraintManager {
     }
 
     /// Builds (or revalidates) the memoized post-update snapshot: the
-    /// copy-on-write clone of the database with `update` applied that
+    /// clone of the database with `update` applied that
     /// every snapshot-path full check of that update shares — across
     /// constraints *and* across repeated checks of the same update. The
-    /// memo is keyed on the update value plus pins over every declared
-    /// relation, so any database mutation invalidates it automatically.
+    /// memo is keyed on the update value plus the database version, so any
+    /// database mutation invalidates it automatically.
     fn ensure_post_snapshot(&mut self, update: &Update) -> Result<(), ManagerError> {
         let current = self
             .post_memo
@@ -1600,10 +1592,10 @@ impl ConstraintManager {
         if current {
             return Ok(());
         }
-        // Copy-on-write: only the updated relation's tuple set is
-        // physically copied; the others keep sharing storage and index
-        // caches with `self.db`, and the stage-3 union caches pinned to
-        // `self.db`'s relations stay valid across the check.
+        // Only the updated relation's root-to-leaf paths are copied; every
+        // other node, and every other relation, stays shared with
+        // `self.db`, whose stamps (and so the stage-3 union caches) the
+        // clone leaves untouched.
         let mut after = self.db.clone();
         after.apply(update)?;
         self.post_memo = Some(PostSnapshot {
@@ -2015,6 +2007,65 @@ mod tests {
             r.outcome("a"),
             Some(Outcome::Holds(Method::FullCheck))
         ));
+    }
+
+    /// The union cache is keyed on the local relation's stamp alone: a
+    /// write to another relation (here the remote `r` the constraint also
+    /// reads) leaves it current and reused; a delete from `l` does not.
+    #[test]
+    fn union_cache_survives_writes_to_other_relations_only() {
+        let mut mgr = siblings_mgr(&[(3, 6)]);
+        mgr.set_pretest_checking(Some(false));
+        let probe = Update::insert("l", tuple![5, 8]);
+        let contained = |mgr: &mut ConstraintManager| {
+            matches!(
+                mgr.check_update(&probe).unwrap().outcome("a"),
+                Some(Outcome::Holds(Method::LocalTest(
+                    LocalTestKind::Containment
+                )))
+            )
+        };
+        assert!(contained(&mut mgr));
+        assert_eq!(mgr.current_union_caches("l"), vec![true, false]);
+        mgr.apply_update(&Update::insert("r", tuple![100])).unwrap();
+        // Still current, so the next local test reuses it.
+        assert_eq!(mgr.current_union_caches("l"), vec![true, false]);
+        assert!(contained(&mut mgr));
+        mgr.apply_update(&Update::delete("l", tuple![3, 6]))
+            .unwrap();
+        assert_eq!(mgr.current_union_caches("l"), vec![false, false]);
+        assert!(!contained(&mut mgr));
+    }
+
+    /// A stage-4 verdict is keyed on the stamps of the relations its
+    /// constraint reads: a write elsewhere keeps it, a delete from one of
+    /// them drops it.
+    #[test]
+    fn stage4_verdict_survives_writes_to_unread_relations_only() {
+        let mut mgr = emp_mgr();
+        mgr.set_parallel_checking(Some(false));
+        mgr.set_pretest_checking(Some(false));
+        let u = Update::insert("emp", tuple!["dave", "ghost", 50]);
+        mgr.check_update(&u).unwrap();
+        // `referential` reads emp and dept, not salRange.
+        mgr.apply_update(&Update::insert("salRange", tuple!["ghost", 10, 200]))
+            .unwrap();
+        let again = mgr.check_update(&u).unwrap();
+        assert_eq!(
+            again.stage4_kind("referential"),
+            Some(Stage4Kind::CachedVerdict)
+        );
+        assert_ne!(
+            again.stage4_kind("pay-floor"),
+            Some(Stage4Kind::CachedVerdict)
+        );
+        mgr.apply_update(&Update::delete("emp", tuple!["ann", "sales", 80]))
+            .unwrap();
+        let after = mgr.check_update(&u).unwrap();
+        assert_ne!(
+            after.stage4_kind("referential"),
+            Some(Stage4Kind::CachedVerdict)
+        );
     }
 
     /// Differential check: a long-lived manager (whose union caches are

@@ -63,7 +63,7 @@ pub enum Stage4Kind {
     /// post-update snapshot.
     FullSnapshot,
     /// A previously computed verdict for the same update against the same
-    /// relation versions (certified by `TupleSnapshot` pins) was reused.
+    /// relation versions (certified by equal relation stamps) was reused.
     CachedVerdict,
 }
 

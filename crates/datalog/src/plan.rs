@@ -408,7 +408,7 @@ impl JoinPlan {
                 Some((col, key)) => {
                     let key = key.resolve(env).clone();
                     let candidates = rel.probe(*col, &key);
-                    for t in &candidates {
+                    for t in candidates.iter() {
                         self.try_tuple(level, t, depth, env, cx, emit);
                     }
                 }

@@ -516,7 +516,7 @@ fn residual_fires(
             let Term::Const(v) = &pattern[col] else {
                 unreachable!()
             };
-            rel.probe(col, v).as_slice().to_vec()
+            rel.probe(col, v).iter().cloned().collect()
         }
         (Some(rel), None) => rel.iter().cloned().collect(),
         (None, _) => Vec::new(),

@@ -437,8 +437,12 @@ fn commit_group(
     );
 
     // Publish the post-group state before acking: a client that sees its
-    // ack and immediately queries must find its own write.
-    *snapshot.write().expect("snapshot lock") = mgr.database().snapshot();
+    // ack and immediately queries must find its own write. The previous
+    // snapshot is dropped after the guard is released, so readers never
+    // wait behind the nodes it frees.
+    let next = mgr.database().snapshot();
+    let previous = std::mem::replace(&mut *snapshot.write().expect("snapshot lock"), next);
+    drop(previous);
 
     let mut iter = verdicts.into_iter();
     for job in window {

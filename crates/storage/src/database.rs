@@ -154,9 +154,10 @@ impl Database {
 
     /// Replaces the instance of a declared relation wholesale.
     ///
-    /// Because [`Relation`] clones are O(1) copy-on-write, this is the cheap
-    /// way to install data from another database (a site split, a wire
-    /// fetch) without re-inserting tuple by tuple.
+    /// Because [`Relation`] clones are O(1) and share their tree nodes,
+    /// this is the cheap way to install data from another database (a
+    /// site split, a wire fetch) without re-inserting tuple by tuple. The
+    /// installed relation keeps its [`Relation::stamp`].
     pub fn set_relation(&mut self, name: &str, rel: Relation) -> Result<(), StorageError> {
         let decl = self
             .decls
@@ -217,8 +218,9 @@ impl Database {
     /// The snapshot is the MVCC read path: it pins the current contents
     /// behind an [`Arc`], so clones of the snapshot are O(1), shareable
     /// across threads, and never observe later mutations of the source
-    /// database. Capturing one is cheap — every [`Relation`] is itself
-    /// copy-on-write, so only the catalog is copied, never the tuples.
+    /// database. Capturing one is cheap — every [`Relation`] clone shares
+    /// its tree nodes, so only the catalog is copied, never the tuples, and
+    /// a later write to the source copies O(log n) nodes, not the relation.
     ///
     /// ```
     /// use ccpi_storage::{tuple, Database, Locality};
@@ -469,6 +471,26 @@ mod tests {
     }
 
     #[test]
+    fn set_relation_installs_the_source_stamp() {
+        let mut db = emp_db();
+        db.insert("dept", tuple!["toy"]).unwrap();
+        let src = db.relation("dept").unwrap().clone();
+        let mut other = emp_db();
+        let empty = other.relation("dept").unwrap().stamp();
+        other.set_relation("dept", src.clone()).unwrap();
+        // The installed relation names the source's contents…
+        let installed = other.relation("dept").unwrap();
+        assert_eq!(installed.stamp(), src.stamp());
+        assert!(installed.shares_storage_with(&src));
+        // …and never the replaced ones.
+        assert_ne!(installed.stamp(), empty);
+        // Writing either side afterwards parts their stamps.
+        db.insert("dept", tuple!["pen"]).unwrap();
+        assert_ne!(db.relation("dept").unwrap().stamp(), src.stamp());
+        assert_eq!(other.relation("dept").unwrap().stamp(), src.stamp());
+    }
+
+    #[test]
     fn clone_is_a_snapshot() {
         let mut db = emp_db();
         db.insert("dept", tuple!["toy"]).unwrap();
@@ -544,7 +566,7 @@ mod proptests {
             }
             let rel = db.relation("p").unwrap();
             let val = ccpi_ir::Value::int(probe);
-            let mut indexed: Vec<Tuple> = rel.probe(0, &val).as_slice().to_vec();
+            let mut indexed: Vec<Tuple> = rel.probe(0, &val).iter().cloned().collect();
             indexed.sort();
             let mut scanned: Vec<Tuple> =
                 rel.iter().filter(|t| t[0] == val).cloned().collect();

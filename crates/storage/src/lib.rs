@@ -1,7 +1,8 @@
 //! # `ccpi-storage` — in-memory relational storage
 //!
 //! The substrate the paper's tests run against: typed relations with set
-//! semantics, per-column hash indexes, a catalog with **locality** metadata
+//! semantics stored in persistent B+-trees (O(1) clones, O(log n) writes
+//! under live snapshots), per-column indexes, a catalog with **locality** metadata
 //! (the paper's local/remote split of §5: "the database may be divided into
 //! 'local' and 'remote' data with respect to the site of the update"), and
 //! first-class [`Update`]s (insertions and deletions of single tuples, the
@@ -13,6 +14,7 @@
 mod database;
 mod delta;
 pub mod partition;
+mod ptree;
 mod relation;
 mod tuple;
 mod update;
@@ -22,7 +24,7 @@ pub mod wirefmt;
 pub use database::{Database, DatabaseSnapshot, Locality, RelationDecl, StorageError};
 pub use delta::DeltaSet;
 pub use partition::{KeySpan, MigrationPlan, PartitionScheme, Partitioning, SpanMove};
-pub use relation::{Candidates, Relation, TupleSnapshot};
+pub use relation::{Candidates, Relation};
 pub use tuple::Tuple;
 pub use update::{Update, UpdateTemplate};
 

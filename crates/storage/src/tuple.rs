@@ -3,22 +3,24 @@
 use ccpi_ir::Value;
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 /// An immutable tuple of constants. Ordered lexicographically (by the total
 /// order on [`Value`]), which gives relations a deterministic iteration
-/// order.
+/// order. Clones share one allocation, so a relation's index entries and
+/// its path-copied tree nodes cost a reference count per tuple, not a copy.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Tuple(Box<[Value]>);
+pub struct Tuple(Arc<[Value]>);
 
 impl Tuple {
     /// Builds a tuple from values.
     pub fn new(values: impl Into<Vec<Value>>) -> Self {
-        Tuple(values.into().into_boxed_slice())
+        Tuple(values.into().into())
     }
 
     /// The empty (0-ary) tuple — the single possible tuple of `panic`.
     pub fn unit() -> Self {
-        Tuple(Box::new([]))
+        Tuple(Arc::new([]))
     }
 
     /// Number of components.

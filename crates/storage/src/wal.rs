@@ -43,6 +43,7 @@
 //! schedule of budgets and asserts recovery from every prefix.
 
 use crate::database::{Database, Locality};
+use crate::relation::Relation;
 use crate::update::Update;
 use crate::wirefmt::{self, WireError};
 use std::fmt;
@@ -845,8 +846,8 @@ pub struct ConstraintRecord {
 }
 
 /// One stage-4 verdict persisted in a checkpoint: restored after
-/// recovery only if its relations are bytewise the checkpoint's (fresh
-/// `TupleSnapshot` pins are taken at restore time).
+/// recovery only if its relations are bytewise the checkpoint's (it is
+/// keyed on the loaded relations' fresh stamps at restore time).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointVerdict {
     /// Constraint name.
@@ -925,9 +926,14 @@ impl Checkpoint {
             let locality = decode_locality(buf, &mut pos)?;
             db.declare(&name, arity, locality)
                 .map_err(|_| WireError::BadTag(1))?;
-            for t in wirefmt::decode_rows(buf, &mut pos)? {
-                db.insert(&name, t).map_err(|_| WireError::BadTag(1))?;
+            // Rows were encoded in the relation's sorted order, so the
+            // bulk build is one linear pass.
+            let rows = wirefmt::decode_rows(buf, &mut pos)?;
+            if rows.iter().any(|t| t.arity() != arity) {
+                return Err(WireError::BadTag(1));
             }
+            db.set_relation(&name, Relation::from_tuples(arity, rows))
+                .map_err(|_| WireError::BadTag(1))?;
         }
         db.force_version(version);
         let mut constraints = Vec::new();
@@ -1479,6 +1485,32 @@ mod tests {
             loaded.db.relation("emp").unwrap(),
             ckpt.db.relation("emp").unwrap()
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Checkpoint decode bulk-builds each relation from its sorted rows:
+    /// the contents round-trip, and the loaded relations carry stamps of
+    /// their own, so no cache keyed on a pre-restore stamp can match them.
+    #[test]
+    fn checkpoint_restore_rebuilds_relations_under_fresh_stamps() {
+        let dir = scratch_dir("ckpt-bulk");
+        let mut ckpt = sample_checkpoint();
+        for k in 0..2_000i64 {
+            ckpt.db
+                .insert("emp", tuple![format!("e{k}").as_str(), "shoe", k])
+                .unwrap();
+        }
+        let mut guard = DiskGuard::new();
+        write_checkpoint(&dir, &ckpt, &mut guard).unwrap();
+        let loaded = read_checkpoint(&dir).unwrap().0.unwrap();
+        for name in ["emp", "dept"] {
+            let (got, want) = (
+                loaded.db.relation(name).unwrap(),
+                ckpt.db.relation(name).unwrap(),
+            );
+            assert!(got.iter().eq(want.iter()), "{name} round-trips");
+            assert_ne!(got.stamp(), want.stamp(), "{name} stamp is fresh");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
