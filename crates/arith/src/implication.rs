@@ -9,9 +9,11 @@
 //! ```
 //!
 //! Each `¬Dᵢ` is a disjunction of negated atoms, so the refutation problem
-//! is a conjunction of clauses; we search DPLL-style over the choice of one
-//! negated atom per disjunct, pruning any branch whose partial conjunction
-//! is already unsatisfiable. The branch count is `∏ᵢ |Dᵢ|` in the worst
+//! is a conjunction of clauses. Unit propagation first drops every atom the
+//! premise entails syntactically and conjoins the negation of each
+//! disjunct left with one atom; we then search DPLL-style over the choice
+//! of one negated atom per remaining disjunct, pruning any branch whose
+//! partial conjunction is already unsatisfiable. The branch count is `∏ᵢ |Dᵢ|` in the worst
 //! case — exponential in the size of the *contained* query only, matching
 //! the paper's complexity discussion ("our [test] … is exponential only in
 //! the number of variables, that is, in the size of C₁" for the
@@ -19,77 +21,104 @@
 //! disjuncts).
 
 use crate::Solver;
-use ccpi_ir::{CompOp, Comparison, Term};
+use ccpi_ir::{Comparison, Value, Var};
 use std::collections::{HashMap, HashSet};
 
 /// Decides `premise ⇒ ⋁ disjuncts` under the given solver's domain.
 ///
-/// An empty `disjuncts` slice denotes the empty (false) disjunction; the
-/// implication then holds iff `premise` is unsatisfiable.
-pub fn implies_with(solver: Solver, premise: &[Comparison], disjuncts: &[Vec<Comparison>]) -> bool {
+/// An empty `disjuncts` sequence denotes the empty (false) disjunction;
+/// the implication then holds iff `premise` is unsatisfiable. The
+/// disjuncts are borrowed, so a caller holding them in an index (see
+/// `ccpi-containment`'s prepared unions) hands over only the relevant
+/// ones without copying any.
+pub fn implies_with<'a>(
+    solver: Solver,
+    premise: &[Comparison],
+    disjuncts: impl IntoIterator<Item = &'a [Comparison]>,
+) -> bool {
     if !solver.sat(premise) {
         return true;
     }
-    // A disjunct that is the empty conjunction is `true`: implication holds.
-    if disjuncts.iter().any(|d| d.is_empty()) {
+    // Unit propagation. Every atom of a disjunct that the premise entails
+    // syntactically is dropped: it is one of the premise's atoms, a true
+    // ground atom, or restates a premise pin `V = k`. An atom the premise
+    // refutes the same way (a false ground atom, `V = k'` against the pin
+    // `V = k`) makes its whole disjunct inconsistent with the premise, so
+    // the disjunct covers none of the premise's models and is dropped.
+    // What is left decides the disjunct's role:
+    //
+    // * no atom — the premise entails the disjunct: the implication holds;
+    // * one atom `a` — under the premise `¬D ≡ ¬a`, a unit clause, so `¬a`
+    //   is conjoined once instead of branched on;
+    // * two or more — a real clause for the DPLL search below.
+    //
+    // This is the dominant shape Theorem 5.2 produces: every reduction
+    // pins the probed tuple's key columns and bounds one other variable,
+    // so a union over one key collapses to a single conjunction of bounds.
+    let facts: HashSet<&Comparison> = premise.iter().collect();
+    let pinned: HashMap<&Var, &Value> = premise.iter().filter_map(Comparison::pin).collect();
+    let mut units: HashSet<&Comparison> = HashSet::new();
+    let mut clauses: HashSet<Vec<&Comparison>> = HashSet::new();
+    'disjuncts: for d in disjuncts {
+        let mut open: Vec<&Comparison> = Vec::new();
+        for atom in d {
+            let entailed = match atom.eval_ground() {
+                Some(v) => v,
+                None => match atom.pin().and_then(|(v, k)| Some((k, *pinned.get(v)?))) {
+                    Some((k, k0)) => k == k0,
+                    None if facts.contains(atom) => true,
+                    None => {
+                        open.push(atom);
+                        continue;
+                    }
+                },
+            };
+            if !entailed {
+                continue 'disjuncts;
+            }
+        }
+        match open.len() {
+            0 => return true,
+            1 => {
+                units.insert(open[0]);
+            }
+            // Exact duplicates are covered by their first occurrence.
+            _ => {
+                clauses.insert(open);
+            }
+        }
+    }
+    let mut base = premise.to_vec();
+    base.extend(units.into_iter().map(Comparison::negated));
+    if !solver.sat(&base) {
         return true;
     }
-    // Relevance filter: a disjunct inconsistent with the premise covers
-    // nothing of the premise's models, so dropping it changes neither
-    // direction of the answer. This keeps the search proportional to the
-    // *overlapping* disjuncts — crucial when Theorem 5.2 turns a large
-    // local relation into one disjunct per tuple.
-    // Ground-equality prefilter: the premise is satisfiable at this point,
-    // so a variable it equates to a constant can take no other value; a
-    // disjunct equating the same variable to a different constant is
-    // inconsistent with the premise without consulting the solver. This is
-    // the dominant shape Theorem 5.2 produces — every reduction pins the
-    // probed tuple's key columns — so it discharges most of a large union
-    // in a hash lookup per disjunct.
-    let pinned: HashMap<&Term, &Term> = premise.iter().filter_map(var_const_eq).collect();
-    let contradicts_pin = |d: &[Comparison]| {
-        d.iter()
-            .any(|c| var_const_eq(c).is_some_and(|(v, k)| pinned.get(v).is_some_and(|k0| *k0 != k)))
-    };
-    let mut order: Vec<&Vec<Comparison>> = Vec::with_capacity(disjuncts.len());
-    let mut seen: HashSet<&Vec<Comparison>> = HashSet::new();
-    let mut both = premise.to_vec();
-    for d in disjuncts {
-        if contradicts_pin(d) {
-            continue;
-        }
-        if !seen.insert(d) {
-            continue; // exact duplicate: covered by its first occurrence
-        }
-        both.truncate(premise.len());
-        both.extend_from_slice(d);
-        if solver.sat(&both) {
+    // Relevance filter: a clause whose disjunct is inconsistent with the
+    // premise and the units covers nothing of their models, so dropping
+    // it changes neither direction of the answer. This keeps the search
+    // proportional to the *overlapping* disjuncts.
+    let n = base.len();
+    let mut order: Vec<Vec<&Comparison>> = Vec::with_capacity(clauses.len());
+    for d in clauses {
+        base.truncate(n);
+        base.extend(d.iter().map(|&c| c.clone()));
+        if solver.sat(&base) {
             order.push(d);
         }
     }
+    base.truncate(n);
     if order.is_empty() {
         return false;
     }
     // Ascending length: small disjuncts branch least and prune earliest.
-    order.sort_by_key(|d| d.len());
-    refute(solver, premise.to_vec(), &order)
-}
-
-/// `Some((var, const))` when `c` is an equality between a variable and a
-/// constant (either orientation).
-fn var_const_eq(c: &Comparison) -> Option<(&Term, &Term)> {
-    if c.op != CompOp::Eq {
-        return None;
-    }
-    match (&c.lhs, &c.rhs) {
-        (v @ Term::Var(_), k @ Term::Const(_)) => Some((v, k)),
-        (k @ Term::Const(_), v @ Term::Var(_)) => Some((v, k)),
-        _ => None,
-    }
+    order.sort_by_key(Vec::len);
+    refute(solver, base, &order)
 }
 
 /// Returns `true` iff `conj ∧ ⋀_{D ∈ remaining} ¬D` is unsatisfiable.
-fn refute(solver: Solver, conj: Vec<Comparison>, remaining: &[&Vec<Comparison>]) -> bool {
+/// No atom of a remaining disjunct is ground (unit propagation decided
+/// those).
+fn refute(solver: Solver, conj: Vec<Comparison>, remaining: &[Vec<&Comparison>]) -> bool {
     if !solver.sat(&conj) {
         return true;
     }
@@ -99,26 +128,11 @@ fn refute(solver: Solver, conj: Vec<Comparison>, remaining: &[&Vec<Comparison>])
     };
     // conj ∧ ¬D ∧ rest is unsat  iff  every choice of a falsified atom of D
     // leads to an unsat branch.
-    for atom in d.iter() {
-        // Ground atoms decide their branch without recursion.
-        let neg = atom.negated();
-        if let Some(v) = neg.eval_ground() {
-            if !v {
-                continue; // branch contains `false`: already refuted
-            }
-            // `true` adds nothing; recurse without extending.
-            if !refute(solver, conj.clone(), rest) {
-                return false;
-            }
-            continue;
-        }
+    d.iter().all(|atom| {
         let mut next = conj.clone();
-        next.push(neg);
-        if !refute(solver, next, rest) {
-            return false;
-        }
-    }
-    true
+        next.push(atom.negated());
+        refute(solver, next, rest)
+    })
 }
 
 #[cfg(test)]
@@ -285,6 +299,127 @@ mod tests {
         assert!(!s.equivalent(&a, &c));
     }
 
+    fn s(x: &str) -> Term {
+        Term::sym(x)
+    }
+
+    /// A disjunct whose every atom the premise entails syntactically — a
+    /// premise atom, a true ground atom, a restated pin in either
+    /// orientation — decides the implication on its own.
+    #[test]
+    fn fully_entailed_disjunct_holds() {
+        let premise = vec![
+            cmp(v("A"), CompOp::Eq, s("d1")),
+            cmp(v("X"), CompOp::Lt, v("Y")),
+        ];
+        let covered = [
+            vec![cmp(v("X"), CompOp::Lt, v("Y"))],
+            vec![
+                cmp(s("d1"), CompOp::Eq, v("A")),
+                cmp(i(1), CompOp::Lt, i(2)),
+            ],
+            vec![
+                cmp(v("A"), CompOp::Eq, s("d1")),
+                cmp(v("X"), CompOp::Lt, v("Y")),
+            ],
+        ];
+        for d in covered {
+            for solver in [Solver::dense(), Solver::integer()] {
+                assert!(solver.implies(&premise, std::slice::from_ref(&d)), "{d:?}");
+            }
+        }
+        // A false ground atom or a clashing pin empties nothing: the
+        // disjunct is dropped, and with it the implication.
+        for d in [
+            vec![cmp(v("X"), CompOp::Lt, v("Y")), cmp(i(2), CompOp::Lt, i(1))],
+            vec![
+                cmp(v("A"), CompOp::Eq, s("d2")),
+                cmp(v("X"), CompOp::Lt, v("Y")),
+            ],
+        ] {
+            assert!(
+                !Solver::dense().implies(&premise, std::slice::from_ref(&d)),
+                "{d:?}"
+            );
+        }
+    }
+
+    /// Theorem 5.2's pay-floor shape: every reduction pins the department
+    /// and bounds one variable, so each disjunct is a unit once the pin is
+    /// dropped, and other departments' reductions drop out entirely.
+    #[test]
+    fn pinned_bounds_reduce_to_units() {
+        let solver = Solver::dense();
+        let premise = vec![
+            cmp(v("A"), CompOp::Eq, s("d1")),
+            cmp(i(100), CompOp::Lt, v("B")),
+        ];
+        let floor = |dept: &str, sal: i64| {
+            vec![
+                cmp(v("A"), CompOp::Eq, s(dept)),
+                cmp(i(sal), CompOp::Lt, v("B")),
+            ]
+        };
+        assert!(solver.implies(&premise, &[floor("d1", 120), floor("d1", 90)]));
+        assert!(!solver.implies(&premise, &[floor("d1", 120), floor("d2", 90)]));
+        assert!(!solver.implies(&premise, &[floor("d2", 50)]));
+    }
+
+    /// Unit-only unions: Example 5.3's cover and the integer gap, with the
+    /// premise restating one bound of each interval so every disjunct is
+    /// left with a single atom.
+    #[test]
+    fn unit_only_unions() {
+        let premise = vec![
+            cmp(i(3), CompOp::Le, v("Z")),
+            cmp(v("Z"), CompOp::Le, i(10)),
+            cmp(i(4), CompOp::Le, v("Z")),
+            cmp(v("Z"), CompOp::Le, i(8)),
+        ];
+        let low = vec![cmp(i(3), CompOp::Le, v("Z")), cmp(v("Z"), CompOp::Le, i(6))];
+        let ex53 = vec![
+            cmp(i(5), CompOp::Le, v("Z")),
+            cmp(v("Z"), CompOp::Le, i(10)),
+        ];
+        let gap = vec![
+            cmp(i(7), CompOp::Le, v("Z")),
+            cmp(v("Z"), CompOp::Le, i(10)),
+        ];
+        assert!(Solver::dense().implies(&premise, &[low.clone(), ex53.clone()]));
+        assert!(Solver::integer().implies(&premise, &[low.clone(), ex53]));
+        assert!(!Solver::dense().implies(&premise, &[low.clone(), gap.clone()]));
+        assert!(Solver::integer().implies(&premise, &[low.clone(), gap]));
+        assert!(!Solver::integer().implies(&premise, &[low]));
+    }
+
+    /// Units and multi-atom clauses together: `[4,8] ⊆ [3,6] ∪ (6,∞)`,
+    /// where the first disjunct keeps two atoms and the second is a unit.
+    #[test]
+    fn mixed_units_and_clauses() {
+        // An integer pin: the integer solver reasons densely about
+        // symbolic constants.
+        let premise = vec![
+            cmp(v("A"), CompOp::Eq, i(1)),
+            cmp(i(4), CompOp::Le, v("Z")),
+            cmp(v("Z"), CompOp::Le, i(8)),
+        ];
+        let clause = vec![
+            cmp(v("A"), CompOp::Eq, i(1)),
+            cmp(i(3), CompOp::Le, v("Z")),
+            cmp(v("Z"), CompOp::Le, i(6)),
+        ];
+        let unit = vec![cmp(v("A"), CompOp::Eq, i(1)), cmp(i(6), CompOp::Lt, v("Z"))];
+        let near = vec![cmp(v("A"), CompOp::Eq, i(1)), cmp(i(7), CompOp::Le, v("Z"))];
+        for solver in [Solver::dense(), Solver::integer()] {
+            assert!(solver.implies(&premise, &[clause.clone(), unit.clone()]));
+            assert!(!solver.implies(&premise, std::slice::from_ref(&clause)));
+            assert!(!solver.implies(&premise, std::slice::from_ref(&unit)));
+        }
+        // (6,7) is uncovered over ℚ, empty over ℤ.
+        assert!(!Solver::dense().implies(&premise, &[clause.clone(), near.clone()]));
+        assert!(Solver::integer().implies(&premise, &[clause, near]));
+    }
+
     #[test]
     fn many_disjuncts_scale() {
         // X in [0,100] implied by the union of [k, k+1] for k=0..100.
@@ -366,6 +501,38 @@ mod proptests {
             disjuncts in prop::collection::vec(
                 prop::collection::vec(comparison(), 1..3), 0..3),
         ) {
+            let fast = Solver::dense().implies(&premise, &disjuncts);
+            let slow = implies_brute(&premise, &disjuncts);
+            prop_assert_eq!(fast, slow, "{:?} => {:?}", premise, disjuncts);
+        }
+
+        /// The same agreement when disjuncts are biased toward the atoms
+        /// unit propagation acts on: premise atoms, pins that restate or
+        /// clash with premise pins, and true or false ground atoms.
+        #[test]
+        fn implies_matches_brute_force_on_shared_atoms(
+            premise in prop::collection::vec(comparison(), 0..3),
+            pins in prop::collection::vec((0usize..3, 0i64..3), 0..3),
+            picks in prop::collection::vec(
+                prop::collection::vec((0u8..4, 0usize..9, comparison()), 1..4), 0..4),
+        ) {
+            let pin = |v: usize, k: i64| Comparison::new(
+                Term::var(format!("V{v}")), CompOp::Eq, Term::int(k));
+            let mut premise = premise;
+            premise.extend(pins.iter().map(|&(v, k)| pin(v, k)));
+            let disjuncts: Vec<Vec<Comparison>> = picks
+                .iter()
+                .map(|d| {
+                    d.iter()
+                        .map(|(how, n, random)| match how {
+                            0 if !premise.is_empty() => premise[n % premise.len()].clone(),
+                            1 => pin(n % 3, (n / 3) as i64 % 3),
+                            2 => Comparison::new(Term::int((n % 3) as i64), CompOp::Le, Term::int(1)),
+                            _ => random.clone(),
+                        })
+                        .collect()
+                })
+                .collect();
             let fast = Solver::dense().implies(&premise, &disjuncts);
             let slow = implies_brute(&premise, &disjuncts);
             prop_assert_eq!(fast, slow, "{:?} => {:?}", premise, disjuncts);

@@ -13,7 +13,8 @@
 //!   (`<`, `<=`, `=`, `<>`, `>=`, `>`) over variables and constants;
 //! * [`implies`](Solver::implies) — the implication test
 //!   `A ⇒ D₁ ∨ … ∨ Dₖ` with each `Dᵢ` a conjunction, decided by refutation
-//!   (DPLL over the choice of a falsified atom per disjunct) — this is the
+//!   (unit propagation, then DPLL over the choice of a falsified atom per
+//!   disjunct) — this is the
 //!   "one test … exponential only in the number of variables" of the
 //!   paper's comparison with Klug's approach;
 //! * [`preorder`] — enumeration of the total preorders (weak orders)
@@ -95,7 +96,7 @@ impl Solver {
     /// matches Theorem 5.1's convention that "`⋁_{h∈H} …` is false when `H`
     /// is empty".
     pub fn implies(&self, premise: &[Comparison], disjuncts: &[Vec<Comparison>]) -> bool {
-        implies_with(*self, premise, disjuncts)
+        implies_with(*self, premise, disjuncts.iter().map(Vec::as_slice))
     }
 
     /// Are two conjunctions logically equivalent?

@@ -15,10 +15,10 @@
 //! local test consumes.
 
 use crate::mapping::containment_mappings;
-use ccpi_arith::Solver;
+use ccpi_arith::{implies_with, Solver};
 use ccpi_ir::rectify::rectify;
-use ccpi_ir::{Comparison, Cq, IrError};
-use std::collections::HashSet;
+use ccpi_ir::{Comparison, Cq, IrError, Value, Var};
+use std::collections::HashMap;
 
 /// Exact containment `c1 ⊆ c2` for conjunctive queries with arithmetic
 /// comparisons (no negation).
@@ -65,22 +65,41 @@ pub(crate) fn prepare(c1: &Cq, union: &[Cq]) -> Result<(Cq, Vec<Vec<Comparison>>
 /// the disjuncts can be prepared once per union and reused for every probe,
 /// turning each probe into a single arithmetic implication.
 ///
-/// Members are added incrementally ([`PreparedUnion::add_member`]), which
-/// is what lets callers maintain a union alongside an evolving relation.
-/// Structurally identical disjuncts are deduplicated on entry; this is
-/// answer-preserving because the implication's relevance filter already
-/// drops exact duplicates.
+/// The union is maintained in both directions: [`add_member`] and its
+/// exact inverse [`remove_member`] let a caller keep it in step with an
+/// evolving relation. Each distinct disjunct carries a reference count —
+/// how many (member, mapping) pairs produced it — so two members with the
+/// same reductions each hold it, and removing one leaves the other's.
+/// A disjunct depends only on its member and the shape, so the disjuncts a
+/// removal recomputes are exactly the ones the addition counted.
+///
+/// Disjuncts are indexed by their ground-equality pins `V = k`: grouped by
+/// the set of variables they pin, then bucketed by the pinned constants.
+/// A probe pins the same variables (the probed tuple's key columns), so
+/// [`contains`] hands the implication only the buckets whose pins agree
+/// with the probe's — a disjunct whose pin clashes with a probe pin covers
+/// none of the probe's models — and a probe costs what its own key's
+/// bucket holds, not what the whole union holds.
+///
+/// [`add_member`]: PreparedUnion::add_member
+/// [`remove_member`]: PreparedUnion::remove_member
+/// [`contains`]: PreparedUnion::contains
 pub struct PreparedUnion {
     /// Rectification of the probe shape: mapping target for every member.
     shape: Cq,
-    /// `h(A(Cₘ))` for every member and mapping, first occurrence order.
-    disjuncts: Vec<Vec<Comparison>>,
-    /// Dedup set over `disjuncts`.
-    seen: HashSet<Vec<Comparison>>,
-    /// Members added so far — also the rename-apart counter, so member
-    /// variables never collide across incremental additions.
+    /// Disjuncts grouped by the sorted set of variables they pin.
+    groups: HashMap<Vec<Var>, PinGroup>,
+    /// Members held (added minus removed).
     members: usize,
+    /// Distinct disjuncts held.
+    distinct: usize,
 }
+
+/// Pinned constants, in the group's variable order → that key's bucket.
+type PinGroup = HashMap<Vec<Value>, Bucket>;
+
+/// Distinct disjunct → reference count.
+type Bucket = HashMap<Vec<Comparison>, usize>;
 
 impl PreparedUnion {
     /// Starts an empty union whose probes will all share `shape_of`'s
@@ -92,39 +111,108 @@ impl PreparedUnion {
         }
         Ok(PreparedUnion {
             shape: rectify(shape_of),
-            disjuncts: Vec::new(),
-            seen: HashSet::new(),
+            groups: HashMap::new(),
             members: 0,
+            distinct: 0,
         })
     }
 
-    /// Adds one union member: rectify, rename apart, enumerate every
-    /// containment mapping into the probe shape, and instantiate the
-    /// member's arithmetic through each.
+    /// Adds one union member: rectify, enumerate every containment mapping
+    /// into the probe shape, and count the member's arithmetic
+    /// instantiated through each.
     pub fn add_member(&mut self, member: &Cq) -> Result<(), IrError> {
-        if !member.is_negation_free() {
-            return Err(IrError::UnexpectedNegation);
-        }
-        let k = self.members;
-        self.members += 1;
-        let (fresh, _) = rectify(member).freshen(&format!("m{k}_"));
-        for h in containment_mappings(&fresh, &self.shape) {
-            let d: Vec<Comparison> = fresh.comparisons.iter().map(|c| h.apply_cmp(c)).collect();
-            if self.seen.insert(d.clone()) {
-                self.disjuncts.push(d);
+        for d in self.mapped(member)? {
+            let (vars, key) = pins(&d);
+            let count = self
+                .groups
+                .entry(vars)
+                .or_default()
+                .entry(key)
+                .or_default()
+                .entry(d)
+                .or_insert(0);
+            if *count == 0 {
+                self.distinct += 1;
             }
+            *count += 1;
         }
+        self.members += 1;
         Ok(())
     }
 
-    /// Members added so far.
+    /// Removes one member added earlier (and not removed since): the exact
+    /// inverse of [`add_member`](Self::add_member), releasing one
+    /// reference to each disjunct the member produced. Returns `Ok(false)`
+    /// and changes nothing when the counts cannot cover the release — the
+    /// union never held `member`.
+    pub fn remove_member(&mut self, member: &Cq) -> Result<bool, IrError> {
+        let mut release: HashMap<Vec<Comparison>, usize> = HashMap::new();
+        for d in self.mapped(member)? {
+            *release.entry(d).or_insert(0) += 1;
+        }
+        let held = |u: &Self, d: &Vec<Comparison>| {
+            let (vars, key) = pins(d);
+            u.groups.get(&vars)?.get(&key)?.get(d).copied()
+        };
+        if self.members == 0 || release.iter().any(|(d, n)| held(self, d).unwrap_or(0) < *n) {
+            return Ok(false);
+        }
+        for (d, n) in release {
+            let (vars, key) = pins(&d);
+            let group = self.groups.get_mut(&vars).expect("held above");
+            let bucket = group.get_mut(&key).expect("held above");
+            let count = bucket.get_mut(&d).expect("held above");
+            *count -= n;
+            if *count == 0 {
+                bucket.remove(&d);
+                self.distinct -= 1;
+                if bucket.is_empty() {
+                    group.remove(&key);
+                    if group.is_empty() {
+                        self.groups.remove(&vars);
+                    }
+                }
+            }
+        }
+        self.members -= 1;
+        Ok(true)
+    }
+
+    /// `h(A(member))` for every containment mapping `h` into the shape.
+    fn mapped(&self, member: &Cq) -> Result<Vec<Vec<Comparison>>, IrError> {
+        if !member.is_negation_free() {
+            return Err(IrError::UnexpectedNegation);
+        }
+        let mut source = rectify(member);
+        // A mapping binds every variable of the member's positive subgoals,
+        // so when the comparisons use no other variable, each disjunct
+        // mentions shape variables only and needs no renaming apart. A
+        // comparison variable outside the positives survives the mapping:
+        // name it apart by the member's own text, so distinct members never
+        // share it and the same member always produces the same disjuncts.
+        let bound: Vec<&Var> = source.positives.iter().flat_map(|a| a.vars()).collect();
+        let all_bound = source
+            .comparisons
+            .iter()
+            .flat_map(Comparison::vars)
+            .all(|v| bound.contains(&v));
+        if !all_bound {
+            source = source.freshen(&format!("m[{source}]_")).0;
+        }
+        Ok(containment_mappings(&source, &self.shape)
+            .into_iter()
+            .map(|h| source.comparisons.iter().map(|c| h.apply_cmp(c)).collect())
+            .collect())
+    }
+
+    /// Members held (added minus removed).
     pub fn members(&self) -> usize {
         self.members
     }
 
     /// Distinct disjuncts currently held.
     pub fn disjunct_count(&self) -> usize {
-        self.disjuncts.len()
+        self.distinct
     }
 
     /// Decides `c1 ⊆ ⋃ members`. `c1` **must** rectify to the same positive
@@ -139,8 +227,51 @@ impl PreparedUnion {
             r1.positives, self.shape.positives,
             "PreparedUnion probed with a query of a different shape"
         );
-        Ok(solver.implies(&r1.comparisons, &self.disjuncts))
+        let probe: HashMap<&Var, &Value> =
+            r1.comparisons.iter().filter_map(Comparison::pin).collect();
+        let agrees = |vars: &[Var], key: &[Value]| {
+            vars.iter()
+                .zip(key)
+                .all(|(v, k)| probe.get(v).is_none_or(|p| *p == k))
+        };
+        let mut buckets: Vec<&Bucket> = Vec::new();
+        for (vars, group) in &self.groups {
+            // The probe pins every variable of the group: one lookup.
+            let key: Option<Vec<Value>> = vars
+                .iter()
+                .map(|v| probe.get(v).map(|k| (*k).clone()))
+                .collect();
+            match key {
+                Some(key) => buckets.extend(group.get(&key)),
+                None => buckets.extend(
+                    group
+                        .iter()
+                        .filter(|(key, _)| agrees(vars, key))
+                        .map(|(_, bucket)| bucket),
+                ),
+            }
+        }
+        let relevant = buckets
+            .into_iter()
+            .flat_map(|b| b.keys().map(Vec::as_slice));
+        Ok(implies_with(solver, &r1.comparisons, relevant))
     }
+}
+
+/// A disjunct's pin-index key: the sorted variables it pins to constants
+/// and the constants, in that order (the first pin of a variable wins).
+fn pins(d: &[Comparison]) -> (Vec<Var>, Vec<Value>) {
+    let mut pinned: Vec<(&Var, &Value)> = Vec::new();
+    for (v, k) in d.iter().filter_map(Comparison::pin) {
+        if !pinned.iter().any(|(w, _)| *w == v) {
+            pinned.push((v, k));
+        }
+    }
+    pinned.sort();
+    pinned
+        .into_iter()
+        .map(|(v, k)| (v.clone(), k.clone()))
+        .unzip()
 }
 
 /// The number of containment mappings Theorem 5.1 considers for
@@ -311,8 +442,8 @@ mod tests {
         }
     }
 
-    /// Members can arrive incrementally, and structural duplicates do not
-    /// grow the disjunct set.
+    /// Members can arrive incrementally, and structural duplicates share
+    /// one counted disjunct.
     #[test]
     fn prepared_union_grows_incrementally_and_dedups() {
         let probe = cq("panic :- r(Z) & 4 <= Z & Z <= 8.");
@@ -326,13 +457,73 @@ mod tests {
             .add_member(&cq("panic :- r(Z) & 5 <= Z & Z <= 10."))
             .unwrap();
         assert!(union.contains(&probe, dense()).unwrap());
-        // A repeated member adds no disjuncts (they dedup away).
+        // A repeated member adds no distinct disjuncts, only references.
         let before = union.disjunct_count();
         union
             .add_member(&cq("panic :- r(Z) & 3 <= Z & Z <= 6."))
             .unwrap();
         assert_eq!(union.disjunct_count(), before);
         assert_eq!(union.members(), 3);
+    }
+
+    /// `remove_member` is the exact inverse of `add_member`: a disjunct two
+    /// members share survives the removal of one, and removing what the
+    /// union never held changes nothing.
+    #[test]
+    fn prepared_union_removes_members_by_reference_count() {
+        let probe = cq("panic :- r(Z) & 4 <= Z & Z <= 8.");
+        let (low, high) = (
+            cq("panic :- r(Z) & 3 <= Z & Z <= 6."),
+            cq("panic :- r(Z) & 5 <= Z & Z <= 10."),
+        );
+        let mut union = PreparedUnion::new(&probe).unwrap();
+        for m in [&low, &high, &high] {
+            union.add_member(m).unwrap();
+        }
+        assert_eq!((union.members(), union.disjunct_count()), (3, 2));
+        assert!(union.remove_member(&high).unwrap());
+        assert!(
+            union.contains(&probe, dense()).unwrap(),
+            "one copy of [5,10] is left"
+        );
+        assert!(union.remove_member(&high).unwrap());
+        assert!(!union.contains(&probe, dense()).unwrap());
+        assert_eq!((union.members(), union.disjunct_count()), (1, 1));
+        assert!(!union.remove_member(&high).unwrap(), "no longer held");
+        assert_eq!((union.members(), union.disjunct_count()), (1, 1));
+    }
+
+    /// Pinned disjuncts land in per-constant buckets; a probe reads only
+    /// the bucket matching its own pin, and its answer equals the one-shot
+    /// test over the whole union.
+    #[test]
+    fn prepared_union_probes_only_the_matching_pin_bucket() {
+        let red =
+            |d: &str, lo: i64, hi: i64| cq(&format!("panic :- s({d},Z) & {lo} <= Z & Z <= {hi}."));
+        let members = [
+            red("a", 3, 6),
+            red("a", 5, 10),
+            red("b", 0, 20),
+            red("b", 4, 4),
+        ];
+        let mut union = PreparedUnion::new(&red("a", 4, 8)).unwrap();
+        for m in &members {
+            union.add_member(m).unwrap();
+        }
+        for probe in [
+            red("a", 4, 8),
+            red("b", 4, 8),
+            red("a", 0, 1),
+            red("c", 4, 4),
+        ] {
+            assert_eq!(
+                union.contains(&probe, dense()).unwrap(),
+                cqc_contained_in_union(&probe, &members, dense()).unwrap(),
+                "{probe}"
+            );
+        }
+        assert!(union.contains(&red("b", 1, 19), dense()).unwrap());
+        assert!(!union.contains(&red("a", 2, 8), dense()).unwrap());
     }
 
     #[test]

@@ -12,13 +12,16 @@ use ccpi_containment::thm51::PreparedUnion;
 use ccpi_datalog::{DatalogError, DeltaPlanSet, Engine};
 use ccpi_ir::class::{classify, ConstraintClass};
 use ccpi_ir::{Constraint, Cq};
-use ccpi_localtest::{compile_ra, extend_union, prepare_union, Cqc, IcqTest, LocalTestPlan};
+use ccpi_localtest::{
+    compile_ra, extend_union, prepare_union, Cqc, IcqTest, IntervalSet, LocalTestPlan,
+};
 use ccpi_parser::ParseError;
 use ccpi_rewrite::independence::{independent_of_update, independent_of_update_rewrite};
 use ccpi_rewrite::pretest::{PreTestSet, PreVerdict};
 use ccpi_storage::{Database, DeltaSet, Locality, Relation, StorageError, Update, UpdateTemplate};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -97,6 +100,9 @@ struct Registered {
     /// mutability because checks take `&self`; under the parallel checker
     /// each scoped thread only ever touches its own constraint's slot.
     union_cache: Mutex<Option<UnionCache>>,
+    /// Stage-3 cache for the Theorem 6.1 interval test: the forbidden
+    /// cover of the local relation, keyed and locked like `union_cache`.
+    cover_cache: Mutex<Option<CoverCache>>,
     /// Stage-4 verdict cache: the last full-check verdict with its
     /// validity key. Same interior-mutability discipline as `union_cache`.
     stage4_cache: Mutex<Option<Stage4Cache>>,
@@ -104,13 +110,21 @@ struct Registered {
 
 /// One prepared Theorem 5.2 union plus its validity token.
 struct UnionCache {
-    /// [`Relation::stamp`] of the local relation at preparation time. An
+    /// [`Relation::stamp`] of the local relation the union matches. An
     /// equal stamp on the live relation certifies the union still matches
     /// the data: every changing write draws a fresh stamp and none is
     /// reused, so a stale hit is impossible — and the cache holds no
-    /// version of the relation alive.
+    /// version of the relation alive. Maintenance through a write
+    /// re-keys it to the post-write stamp.
     stamp: u64,
     union: PreparedUnion,
+}
+
+/// One Theorem 6.1 forbidden-interval cover plus its validity token
+/// (same discipline as [`UnionCache`]).
+struct CoverCache {
+    stamp: u64,
+    cover: IntervalSet,
 }
 
 /// Validity pins: one entry per relevant relation — its
@@ -240,6 +254,9 @@ pub struct ConstraintManager {
     post_memo: Option<PostSnapshot>,
     /// Lifetime count of snapshot (re)builds, for tests and diagnostics.
     post_rebuilds: usize,
+    /// Lifetime count of full Theorem 5.2 union preparations.
+    /// Atomic because local tests run under `&self` (and in parallel).
+    union_builds: AtomicUsize,
     /// When set, every check emits proof-carrying certificates for its
     /// definite verdicts on single-rule constraints (off by default —
     /// emission costs a witness extraction per violation).
@@ -266,6 +283,7 @@ impl ConstraintManager {
             pretest_override: None,
             post_memo: None,
             post_rebuilds: 0,
+            union_builds: AtomicUsize::new(0),
             certificates: false,
         }
     }
@@ -312,6 +330,15 @@ impl ConstraintManager {
     /// against an unchanged database builds it at most once.
     pub fn post_snapshot_rebuilds(&self) -> usize {
         self.post_rebuilds
+    }
+
+    /// How many Theorem 5.2 unions have been prepared in full over
+    /// this manager's lifetime. Writes through
+    /// [`apply_update`](Self::apply_update) maintain a prepared union in
+    /// both directions, so a stream of inserts and deletes builds each
+    /// constraint's union once.
+    pub fn union_builds(&self) -> usize {
+        self.union_builds.load(Ordering::Relaxed)
     }
 
     /// Pins parallel checking on or off; `None` restores the default
@@ -410,6 +437,7 @@ impl ConstraintManager {
             pretests,
             pipeline,
             union_cache: Mutex::new(None),
+            cover_cache: Mutex::new(None),
             stage4_cache: Mutex::new(None),
         });
         // A new constraint can contribute reductions to its siblings'
@@ -1158,90 +1186,98 @@ impl ConstraintManager {
     /// callers (the durable admission pipeline, recovery replay) that
     /// have already decided admission.
     pub fn apply_update(&mut self, update: &Update) -> Result<bool, ManagerError> {
-        // An insert extends each affected Theorem 5.2 union by the new
-        // tuple's reductions, so a cache that is current at apply time can
-        // be maintained incrementally instead of rebuilt from scratch on
-        // the next check. (Deletes shrink unions and simply invalidate:
-        // the stamp change makes that automatic.) Currency must be judged
-        // against the pre-apply tuple set.
-        let current: Vec<bool> = match update {
-            Update::Insert { pred, .. } => self.current_union_caches(pred.as_str()),
-            Update::Delete { .. } => Vec::new(),
-        };
+        // Stage-3 caches that are current before the write are maintained
+        // through it instead of rebuilt on the next check. Currency must
+        // be judged against the pre-write tuple set.
+        let pred = update.pred().as_str();
+        let current = self.current_stage3_caches(pred);
         let changed = self.db.apply(update)?;
         if changed {
-            if let Update::Insert { pred, tuple } = update {
-                self.extend_union_caches(pred.as_str(), tuple, &current);
-            }
+            self.maintain_stage3_caches(pred, update, &current);
         }
         Ok(changed)
     }
 
-    /// Which constraints' union caches exist and match `pred`'s current
-    /// tuple set?
+    /// Per constraint: does its union cache exist and match `pred`'s
+    /// current tuple set?
+    #[cfg(test)]
     fn current_union_caches(&self, pred: &str) -> Vec<bool> {
-        let Some(rel) = self.db.relation(pred) else {
-            return vec![false; self.constraints.len()];
-        };
-        self.constraints
+        self.current_stage3_caches(pred)
             .iter()
-            .map(|r| {
-                r.union_cache
-                    .lock()
-                    .expect("union cache lock poisoned")
-                    .as_ref()
-                    .is_some_and(|c| c.stamp == rel.stamp())
-            })
+            .map(|c| c[0])
             .collect()
     }
 
-    /// After `tuple` was inserted into `pred`, appends its reductions to
-    /// every union cache that was current pre-insert (`current`) and
-    /// re-keys those caches to the post-insert stamp.
-    fn extend_union_caches(&mut self, pred: &str, tuple: &ccpi_storage::Tuple, current: &[bool]) {
-        let Some(rel) = self.db.relation(pred) else {
+    /// Per constraint: do its union and cover caches exist and match
+    /// `pred`'s current tuple set?
+    fn current_stage3_caches(&self, pred: &str) -> Vec<[bool; 2]> {
+        let Some(stamp) = self.db.relation(pred).map(Relation::stamp) else {
+            return vec![[false; 2]; self.constraints.len()];
+        };
+        let lock = |r: &Registered| {
+            let union = r.union_cache.lock().expect("union cache lock poisoned");
+            let cover = r.cover_cache.lock().expect("cover cache lock poisoned");
+            [
+                union.as_ref().is_some_and(|c| c.stamp == stamp),
+                cover.as_ref().is_some_and(|c| c.stamp == stamp),
+            ]
+        };
+        self.constraints.iter().map(lock).collect()
+    }
+
+    /// After `update` changed `pred`, carries every stage-3 cache that was
+    /// current before it (`current`) over to the post-write relation and
+    /// re-keys it to the new stamp. A Theorem 5.2 union gains (insert) or
+    /// releases (delete) the tuple's reductions under every registered
+    /// CQC over `pred` — its own and, by the multi-constraint extension,
+    /// its siblings'. An interval cover gains the tuple's forbidden region
+    /// on an insert; a cover cannot shrink, so a delete drops it.
+    fn maintain_stage3_caches(&mut self, pred: &str, update: &Update, current: &[[bool; 2]]) {
+        let Some(stamp) = self.db.relation(pred).map(Relation::stamp) else {
             return;
         };
-        // The new tuple's reduction under each registered CQC over `pred`.
-        let reds: Vec<Option<Cq>> = self
+        let tuple = update.tuple();
+        let reds: Vec<Cq> = self
             .constraints
             .iter()
-            .map(|r| {
+            .filter_map(|r| {
                 r.cqc
                     .as_ref()
                     .filter(|c| c.local_pred().as_str() == pred)
                     .and_then(|c| c.red(tuple))
             })
             .collect();
-        for i in 0..self.constraints.len() {
-            if !current.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            let slot = self.constraints[i]
+        for (reg, &[union_current, cover_current]) in self.constraints.iter_mut().zip(current) {
+            let slot = reg
                 .union_cache
                 .get_mut()
                 .expect("union cache lock poisoned");
-            let Some(cache) = slot.as_mut() else {
-                continue;
-            };
-            // Own reduction first, then siblings' in registration order —
-            // the same grouping a from-scratch build uses.
-            let mut ok = true;
-            if let Some(r) = &reds[i] {
-                ok &= cache.union.add_member(r).is_ok();
-            }
-            for (j, red) in reds.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                if let Some(r) = red {
-                    ok &= cache.union.add_member(r).is_ok();
+            if let Some(cache) = slot.as_mut().filter(|_| union_current) {
+                let ok = reds.iter().all(|r| match update {
+                    Update::Insert { .. } => cache.union.add_member(r).is_ok(),
+                    Update::Delete { .. } => cache.union.remove_member(r).unwrap_or(false),
+                });
+                if ok {
+                    cache.stamp = stamp;
+                } else {
+                    *slot = None;
                 }
             }
-            if ok {
-                cache.stamp = rel.stamp();
-            } else {
-                *slot = None;
+            let slot = reg
+                .cover_cache
+                .get_mut()
+                .expect("cover cache lock poisoned");
+            if let (true, Some(cache), Some(icq)) = (cover_current, slot.as_mut(), reg.icq.as_ref())
+            {
+                if update.is_insert() {
+                    icq.region_for(tuple)
+                        .into_iter()
+                        .flatten()
+                        .for_each(|iv| cache.cover.insert(iv));
+                    cache.stamp = stamp;
+                } else {
+                    *slot = None;
+                }
             }
         }
     }
@@ -1282,9 +1318,8 @@ impl ConstraintManager {
                     .then_some(LocalTestKind::RaPlan);
             }
             if let Some(icq) = &reg.icq {
-                return icq
-                    .test(tuple, local)
-                    .holds()
+                return self
+                    .icq_covers(i, icq, tuple, local)
                     .then_some(LocalTestKind::Interval);
             }
         } else {
@@ -1294,7 +1329,7 @@ impl ConstraintManager {
                 }
             }
             if let Some(icq) = &reg.icq {
-                if icq.test(tuple, local).holds() {
+                if self.icq_covers(i, icq, tuple, local) {
                     return Some(LocalTestKind::Interval);
                 }
             }
@@ -1320,6 +1355,32 @@ impl ConstraintManager {
         }
     }
 
+    /// The Theorem 6.1 interval test for constraint `i`, through its cover
+    /// cache: the cover of `local` is built once per relation version (and
+    /// extended by inserts in [`apply_update`](Self::apply_update)), so a
+    /// probe costs one coverage lookup.
+    fn icq_covers(
+        &self,
+        i: usize,
+        icq: &IcqTest,
+        tuple: &ccpi_storage::Tuple,
+        local: &Relation,
+    ) -> bool {
+        let mut slot = self.constraints[i]
+            .cover_cache
+            .lock()
+            .expect("cover cache lock poisoned");
+        let stamp = local.stamp();
+        let cache = match slot.take() {
+            Some(c) if c.stamp == stamp => c,
+            _ => CoverCache {
+                stamp,
+                cover: icq.forbidden(local),
+            },
+        };
+        icq.test_against(tuple, &slot.insert(cache).cover).holds()
+    }
+
     /// Prepares constraint `i`'s Theorem 5.2 union over `local`: its own
     /// reductions first, then each sibling's (registration order), exactly
     /// the union `complete_local_test_with` would assemble per check.
@@ -1330,6 +1391,7 @@ impl ConstraintManager {
         local: &Relation,
         red_t: &Cq,
     ) -> Option<UnionCache> {
+        self.union_builds.fetch_add(1, Ordering::Relaxed);
         let stamp = local.stamp();
         let mut union = prepare_union(cqc, red_t, local).ok()?;
         for (j, other) in self.constraints.iter().enumerate() {
@@ -1979,11 +2041,12 @@ mod tests {
         ));
     }
 
-    /// Deleting the tuple whose reductions covered an insert must
-    /// invalidate the prepared union: a stale cache would certify an
-    /// insert that is no longer safe.
+    /// Deleting the tuple whose reductions covered an insert must remove
+    /// them from the prepared union — a stale union would certify an
+    /// insert that is no longer safe — while the union itself stays
+    /// current and is not rebuilt.
     #[test]
-    fn process_delete_invalidates_the_union_cache() {
+    fn process_delete_removes_the_rows_reductions_from_the_union() {
         let mut mgr = siblings_mgr(&[(3, 6)]);
         // Same reason as the insert variant: reach the union cache.
         mgr.set_pretest_checking(Some(false));
@@ -1997,8 +2060,10 @@ mod tests {
                 LocalTestKind::Containment
             )))
         ));
+        assert_eq!(mgr.union_builds(), 1);
         // Remove (3,6): `b`'s reduction disappears with it.
         mgr.process(&Update::delete("l", tuple![3, 6])).unwrap();
+        assert_eq!(mgr.current_union_caches("l"), vec![true, false]);
         let r = mgr
             .check_update(&Update::insert("l", tuple![5, 8]))
             .unwrap();
@@ -2007,11 +2072,16 @@ mod tests {
             r.outcome("a"),
             Some(Outcome::Holds(Method::FullCheck))
         ));
+        // `b`'s first build: its interval cover no longer certifies
+        // [5,8] either. `a`'s union was maintained, not rebuilt.
+        assert_eq!(mgr.current_union_caches("l"), vec![true, true]);
+        assert_eq!(mgr.union_builds(), 2);
     }
 
     /// The union cache is keyed on the local relation's stamp alone: a
     /// write to another relation (here the remote `r` the constraint also
-    /// reads) leaves it current and reused; a delete from `l` does not.
+    /// reads) leaves it current and reused; a delete from `l` releases the
+    /// deleted row's reductions and re-keys it, so it stays current too.
     #[test]
     fn union_cache_survives_writes_to_other_relations_only() {
         let mut mgr = siblings_mgr(&[(3, 6)]);
@@ -2033,8 +2103,10 @@ mod tests {
         assert!(contained(&mut mgr));
         mgr.apply_update(&Update::delete("l", tuple![3, 6]))
             .unwrap();
-        assert_eq!(mgr.current_union_caches("l"), vec![false, false]);
+        assert_eq!(mgr.current_union_caches("l"), vec![true, false]);
         assert!(!contained(&mut mgr));
+        // `a`'s union maintained; `b`'s built for the first time.
+        assert_eq!(mgr.union_builds(), 2);
     }
 
     /// A stage-4 verdict is keyed on the stamps of the relations its
@@ -2096,13 +2168,21 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (seed >> 33) % m
         };
-        for _ in 0..40 {
+        for _ in 0..80 {
             let (a, w) = (next(12) as i64, next(8) as i64);
-            let t = tuple![a, a + w];
-            let update = if next(4) == 0 {
-                Update::delete("l", t)
+            let stored: Vec<ccpi_storage::Tuple> = live
+                .database()
+                .relation("l")
+                .unwrap()
+                .iter()
+                .cloned()
+                .collect();
+            // Deletes remove a stored row, so the maintained unions
+            // really shrink.
+            let update = if next(3) == 0 && !stored.is_empty() {
+                Update::delete("l", stored[next(stored.len() as u64) as usize].clone())
             } else {
-                Update::insert("l", t)
+                Update::insert("l", tuple![a, a + w])
             };
             // A fresh manager over the same database has no caches at all.
             let mut fresh = managers(live.database());
@@ -2110,6 +2190,123 @@ mod tests {
             let got = live.process(&update).unwrap();
             assert_eq!(got, want, "diverged on {update:?}");
         }
+        assert_eq!(live.union_builds(), 2, "`a` and `b` each build once");
+    }
+
+    /// The same differential on the Theorem 6.1 interval test, whose cover
+    /// is cached per relation version: a long-lived manager agrees with a
+    /// fresh one at every step of a windows stream of inserts and deletes
+    /// of stored windows.
+    #[test]
+    fn cached_cover_matches_fresh_manager_on_windows() {
+        use ccpi_workload::windows::{local_relation, window, WindowConfig};
+        let cfg = WindowConfig {
+            windows: 40,
+            horizon: 400,
+            width: (5, 60),
+        };
+        let mut r = ccpi_workload::rng(61);
+        let mut db = Database::new();
+        db.declare("l", 2, Locality::Local).unwrap();
+        db.declare("r", 1, Locality::Remote).unwrap();
+        db.set_relation("l", local_relation(&cfg, &mut r)).unwrap();
+        let manager = |db: &Database| {
+            let mut mgr = ConstraintManager::new(db.clone());
+            mgr.set_pretest_checking(Some(false));
+            mgr.add_constraint("windows", "panic :- l(X,Y) & r(Z) & X <= Z & Z <= Y.")
+                .unwrap();
+            mgr
+        };
+        let mut live = manager(&db);
+        let mut interval_hits = 0;
+        for step in 0..200usize {
+            let stored: Vec<ccpi_storage::Tuple> = live
+                .database()
+                .relation("l")
+                .unwrap()
+                .iter()
+                .cloned()
+                .collect();
+            let update = if step % 3 == 2 {
+                Update::delete("l", stored[(step * 7) % stored.len()].clone())
+            } else if step % 2 == 0 {
+                // A sub-window of a stored one: covered.
+                let base = &stored[(step * 13) % stored.len()];
+                let (lo, hi) = (base[0].as_int().unwrap(), base[1].as_int().unwrap());
+                Update::insert("l", tuple![lo + (hi - lo) / 3, hi - (hi - lo) / 3])
+            } else {
+                Update::insert("l", window(&cfg, &mut r))
+            };
+            let want = manager(live.database()).check_update(&update).unwrap();
+            let got = live.process(&update).unwrap();
+            assert_eq!(got, want, "diverged at step {step} on {update:?}");
+            interval_hits += usize::from(matches!(
+                got.outcome("windows"),
+                Some(Outcome::Holds(Method::LocalTest(LocalTestKind::Interval)))
+            ));
+        }
+        assert!(
+            interval_hits > 20,
+            "the cover decided {interval_hits} checks"
+        );
+    }
+
+    /// `union_builds` counts full preparations: on a 1,000-step
+    /// E6 stream whose emp deletes remove stored rows, each of the two
+    /// Theorem 5.2 unions (pay-floor, pay-ceiling) is built exactly once
+    /// and maintained through every later write — and a long-lived
+    /// manager still agrees with a fresh one.
+    #[test]
+    fn e6_stream_with_real_deletes_builds_each_union_once() {
+        use ccpi_workload::emp::{database, update_stream, EmpConfig};
+        let cfg = EmpConfig {
+            employees: 500,
+            departments: 8,
+            ..EmpConfig::default()
+        };
+        let mut r = ccpi_workload::rng(7);
+        let db = database(&cfg, &mut r);
+        let manager = |db: &Database| {
+            let mut mgr = ConstraintManager::new(db.clone());
+            mgr.set_parallel_checking(Some(false));
+            for (name, src) in [
+                ("referential", "panic :- emp(E,D,S) & not dept(D)."),
+                (
+                    "pay-floor",
+                    "panic :- emp(E,D,S) & salRange(D,Low,High) & S < Low.",
+                ),
+                (
+                    "pay-ceiling",
+                    "panic :- emp(E,D,S) & salRange(D,Low,High) & S > High.",
+                ),
+            ] {
+                mgr.add_constraint(name, src).unwrap();
+            }
+            mgr
+        };
+        let mut live = manager(&db);
+        let mut deletes = 0;
+        for (step, update) in update_stream(&cfg, &mut r, 1000).into_iter().enumerate() {
+            let update = match update {
+                Update::Delete { pred, .. } if pred.as_str() == "emp" => {
+                    let emp = live.database().relation("emp").unwrap();
+                    let victim = emp.iter().nth(step % emp.len()).unwrap().clone();
+                    deletes += 1;
+                    Update::delete("emp", victim)
+                }
+                u => u,
+            };
+            let got = live.check_update(&update).unwrap();
+            if step % 50 == 0 {
+                let want = manager(live.database()).check_update(&update).unwrap();
+                assert_eq!(got, want, "diverged at step {step} on {update:?}");
+            }
+            if got.all_hold() {
+                live.apply_update(&update).unwrap();
+            }
+        }
+        assert!(deletes > 150, "{deletes} real emp deletes");
+        assert_eq!(live.union_builds(), 2);
     }
 
     #[test]

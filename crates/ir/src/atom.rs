@@ -2,6 +2,7 @@
 
 use crate::sym::Sym;
 use crate::term::{Term, Var};
+use crate::value::Value;
 use std::fmt;
 
 /// An ordinary (uninterpreted-predicate) atom, e.g. `emp(E, D, S)`.
@@ -203,6 +204,18 @@ impl Comparison {
     pub fn eval_ground(&self) -> Option<bool> {
         match (&self.lhs, &self.rhs) {
             (Term::Const(a), Term::Const(b)) => Some(self.op.eval(a, b)),
+            _ => None,
+        }
+    }
+
+    /// `Some((var, const))` when the comparison is a ground-equality pin
+    /// `var = const` (either orientation).
+    pub fn pin(&self) -> Option<(&Var, &Value)> {
+        if self.op != CompOp::Eq {
+            return None;
+        }
+        match (&self.lhs, &self.rhs) {
+            (Term::Var(v), Term::Const(k)) | (Term::Const(k), Term::Var(v)) => Some((v, k)),
             _ => None,
         }
     }

@@ -345,10 +345,17 @@ impl IcqTest {
     /// The complete local test: inserting `t` is safe iff `t`'s region is
     /// already covered by the union of the existing regions.
     pub fn test(&self, t: &Tuple, local: &Relation) -> LocalTestResult {
+        self.test_against(t, &self.forbidden(local))
+    }
+
+    /// [`test`](Self::test) against a cover already computed with
+    /// [`forbidden`](Self::forbidden) over the local relation — a caller
+    /// that keeps the cover alongside the relation probes in
+    /// O(log |L|) instead of rebuilding it from all of `L`.
+    pub fn test_against(&self, t: &Tuple, cover: &IntervalSet) -> LocalTestResult {
         let Some(region) = self.region_for(t) else {
             return LocalTestResult::Holds;
         };
-        let cover = self.forbidden(local);
         if region.iter().all(|iv| cover.covers(iv)) {
             LocalTestResult::Holds
         } else {

@@ -88,9 +88,9 @@ pub fn complete_local_test_with(
 /// shape, which is what makes the prepared union reusable across probes).
 ///
 /// Callers that keep the result alongside the relation (see
-/// `ccpi::ConstraintManager`) can extend it with
-/// [`PreparedUnion::add_member`] as tuples are inserted instead of
-/// re-preparing per check.
+/// `ccpi::ConstraintManager`) maintain it with
+/// [`PreparedUnion::add_member`] and [`PreparedUnion::remove_member`] as
+/// tuples are inserted and deleted instead of re-preparing per check.
 pub fn prepare_union(cqc: &Cqc, shape_of: &Cq, local: &Relation) -> Result<PreparedUnion, IrError> {
     let mut union = PreparedUnion::new(shape_of)?;
     extend_union(&mut union, cqc, local)?;

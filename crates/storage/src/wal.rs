@@ -50,7 +50,6 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
 
 /// WAL file name inside a durable directory.
 pub const WAL_FILE: &str = "wal.bin";
@@ -679,157 +678,6 @@ impl WalWriter {
         if guard.drops_unsynced() {
             let _ = self.file.set_len(self.synced_len);
         }
-    }
-}
-
-/// Counters a [`GroupCommitWal`] keeps, for amortization assertions and
-/// the E13 tables: `syncs / appends` is the group-commit win.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GroupCommitStats {
-    /// Records appended (each acked caller contributed at least one).
-    pub appends: u64,
-    /// Physical fsyncs issued. With concurrent callers this is strictly
-    /// less than `appends`: one shared fsync acks a whole in-flight group.
-    pub syncs: u64,
-}
-
-struct GroupState {
-    wal: WalWriter,
-    guard: DiskGuard,
-    /// A leader is currently fsyncing outside the lock.
-    leader_active: bool,
-    stats: GroupCommitStats,
-}
-
-/// A thread-safe group-commit front-end over a [`WalWriter`].
-///
-/// Concurrent callers funnel through [`GroupCommitWal::append_and_sync`]:
-/// each appends its sealed frame under the lock, then either *leads* —
-/// issuing one `fsync` that covers every frame appended so far — or
-/// *follows*, parking until a leader's shared sync covers its frame.
-/// In-flight appends from N callers thus collapse into one physical
-/// fsync, amortizing the per-update sync that dominates the durable
-/// pipeline's cost, while preserving the ack invariant exactly: a caller
-/// returns `Ok` only once its own frame is fsync'd.
-///
-/// The leader fsyncs on a cloned file handle **outside** the lock, so
-/// followers keep appending during the disk wait and the next leader's
-/// sync covers them all — the classic group-commit pipeline. Correctness
-/// of the handoff: the leader captures the logical length under the lock
-/// *before* releasing it, and every byte below that length was fully
-/// written (under the lock) before the fsync began, so crediting
-/// durability up to the captured length is sound.
-///
-/// Failure semantics are inherited from [`WalWriter`]: a failed append
-/// or sync poisons the writer, every caller in the affected group gets
-/// the error (or [`WalError::Poisoned`]), and no later append can land
-/// past a torn frame. Crash injection through the shared [`DiskGuard`]
-/// stays deterministic — grants happen under the lock, in arrival order.
-pub struct GroupCommitWal {
-    state: Mutex<GroupState>,
-    /// Signals followers when a shared sync lands (or fails).
-    synced: Condvar,
-}
-
-impl GroupCommitWal {
-    /// Wraps a writer (and the guard metering it) for shared use.
-    pub fn new(wal: WalWriter, guard: DiskGuard) -> Self {
-        GroupCommitWal {
-            state: Mutex::new(GroupState {
-                wal,
-                guard,
-                leader_active: false,
-                stats: GroupCommitStats::default(),
-            }),
-            synced: Condvar::new(),
-        }
-    }
-
-    /// Appends `rec` and returns once a (possibly shared) fsync covers
-    /// it — the record is durable when this returns `Ok`. See the type
-    /// docs for the leader/follower protocol and failure semantics.
-    pub fn append_and_sync(&self, rec: &WalRecord) -> Result<(), WalError> {
-        let mut st = self.state.lock().expect("group wal lock");
-        {
-            let s = &mut *st;
-            s.wal.append(rec, &mut s.guard)?;
-            s.stats.appends += 1;
-        }
-        let target = st.wal.len;
-        loop {
-            if st.wal.synced_len >= target {
-                return Ok(());
-            }
-            if st.wal.poisoned {
-                return Err(WalError::Poisoned);
-            }
-            if st.leader_active {
-                // A leader's fsync is in flight; it may not cover our
-                // frame (we may have appended after it captured its
-                // length), so re-check on wake rather than assume.
-                st = self.synced.wait(st).expect("group wal lock");
-                continue;
-            }
-            // Become the leader for everything appended so far.
-            st.leader_active = true;
-            let end = st.wal.len;
-            if st.guard.grant(1) == 0 {
-                // Injected crash at the shared sync: the whole in-flight
-                // group dies unacknowledged, exactly like a single-caller
-                // sync crash.
-                st.wal.poisoned = true;
-                let s = &mut *st;
-                s.wal.crash_cleanup(&s.guard);
-                st.leader_active = false;
-                self.synced.notify_all();
-                return Err(WalError::CrashInjected);
-            }
-            let file = match st.wal.file.try_clone() {
-                Ok(f) => f,
-                Err(e) => {
-                    st.wal.poisoned = true;
-                    st.leader_active = false;
-                    self.synced.notify_all();
-                    return Err(WalError::Io(e));
-                }
-            };
-            drop(st);
-            let res = file.sync_data();
-            st = self.state.lock().expect("group wal lock");
-            st.leader_active = false;
-            match res {
-                Ok(()) => {
-                    st.wal.synced_len = st.wal.synced_len.max(end);
-                    st.stats.syncs += 1;
-                    self.synced.notify_all();
-                    // Our own frame is ≤ `end` by construction, but loop
-                    // anyway: the invariant lives in one place.
-                }
-                Err(e) => {
-                    // Whether the group's bytes are durable is unknowable.
-                    st.wal.poisoned = true;
-                    self.synced.notify_all();
-                    return Err(WalError::Io(e));
-                }
-            }
-        }
-    }
-
-    /// Counters so far (appends and physical syncs).
-    pub fn stats(&self) -> GroupCommitStats {
-        self.state.lock().expect("group wal lock").stats
-    }
-
-    /// Has an earlier failure poisoned the underlying writer?
-    pub fn is_poisoned(&self) -> bool {
-        self.state.lock().expect("group wal lock").wal.poisoned
-    }
-
-    /// Tears the front-end down, returning the writer and guard (e.g. to
-    /// run recovery through [`replay_wal`] + [`WalWriter::resume`]).
-    pub fn into_inner(self) -> (WalWriter, DiskGuard) {
-        let st = self.state.into_inner().expect("group wal lock");
-        (st.wal, st.guard)
     }
 }
 
@@ -1544,162 +1392,6 @@ mod tests {
         assert!(cleaned, "tmp removed at recovery");
         assert!(!dir.join(CHECKPOINT_TMP).exists());
         assert_eq!(loaded.unwrap().last_seq, 42, "committed checkpoint wins");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn group_commit_acks_every_concurrent_appender_durably() {
-        use std::sync::Arc;
-        let dir = scratch_dir("gcw-concurrent");
-        let path = dir.join(WAL_FILE);
-        let mut guard = DiskGuard::new();
-        let w = WalWriter::create(&path, &mut guard).unwrap();
-        let group = Arc::new(GroupCommitWal::new(w, guard));
-        let threads = 8;
-        let per_thread = 25;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let g = Arc::clone(&group);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        let rec = WalRecord::Apply {
-                            seq: (t * per_thread + i) as u64,
-                            update: Update::insert("emp", tuple![t as i64, i as i64]),
-                        };
-                        g.append_and_sync(&rec).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = group.stats();
-        assert_eq!(stats.appends, (threads * per_thread) as u64);
-        assert!(stats.syncs >= 1 && stats.syncs <= stats.appends);
-        // Every acked record is on disk, in a clean log with consecutive
-        // nonces (replay validates the nonces itself).
-        let replay = replay_wal(&path).unwrap();
-        assert_eq!(replay.tail, WalTail::Clean);
-        assert_eq!(replay.records.len(), threads * per_thread);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn group_commit_shares_one_fsync_across_a_parked_group() {
-        use std::sync::Arc;
-        let dir = scratch_dir("gcw-amortize");
-        let path = dir.join(WAL_FILE);
-        let mut guard = DiskGuard::new();
-        let w = WalWriter::create(&path, &mut guard).unwrap();
-        let group = Arc::new(GroupCommitWal::new(w, guard));
-        // Build a real in-flight group: many appenders started together
-        // behind a barrier. The first leader's fsync covers whatever
-        // landed before it captured the length; stragglers share later
-        // syncs. With 16 racing appenders the physical sync count must
-        // come in under one-per-record on any schedule where at least two
-        // overlap; assert the invariant that can never break — syncs ≤
-        // appends — plus full durability of every ack.
-        let n = 16;
-        let barrier = Arc::new(std::sync::Barrier::new(n));
-        let handles: Vec<_> = (0..n)
-            .map(|t| {
-                let g = Arc::clone(&group);
-                let b = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    b.wait();
-                    let rec = WalRecord::Apply {
-                        seq: t as u64,
-                        update: Update::insert("emp", tuple![t as i64]),
-                    };
-                    g.append_and_sync(&rec).unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = group.stats();
-        assert_eq!(stats.appends, n as u64);
-        assert!(stats.syncs <= stats.appends);
-        assert_eq!(
-            replay_wal(&path).unwrap().records.len(),
-            n,
-            "every acked append is durable"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn group_commit_crash_poisons_the_whole_group() {
-        use std::sync::Arc;
-        let dir = scratch_dir("gcw-crash");
-        let path = dir.join(WAL_FILE);
-        let mut guard = DiskGuard::new();
-        let w = WalWriter::create(&path, &mut guard).unwrap();
-        // Enough budget for a couple of appends, then the pipeline dies
-        // (mid-append or at the shared sync grant, depending on the
-        // schedule). The invariant under every schedule: a caller acked
-        // `Ok` has its record in the crash-consistent prefix, everyone
-        // else gets an error, and the group ends poisoned.
-        let armed = DiskGuard::with_budget(120, false);
-        let group = Arc::new(GroupCommitWal::new(w, armed));
-        let handles: Vec<_> = (0..6)
-            .map(|t| {
-                let g = Arc::clone(&group);
-                std::thread::spawn(move || {
-                    let rec = WalRecord::Apply {
-                        seq: t as u64,
-                        update: Update::insert("emp", tuple![t as i64, 0i64, 0i64]),
-                    };
-                    (t as u64, g.append_and_sync(&rec))
-                })
-            })
-            .collect();
-        let results: Vec<(u64, Result<(), WalError>)> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(
-            results.iter().any(|(_, r)| r.is_err()),
-            "the armed budget must fire"
-        );
-        assert!(group.is_poisoned());
-        let durable: Vec<u64> = replay_wal(&path)
-            .unwrap()
-            .records
-            .iter()
-            .map(|r| match r {
-                WalRecord::Apply { seq, .. } => *seq,
-                _ => unreachable!(),
-            })
-            .collect();
-        for (seq, result) in &results {
-            if result.is_ok() {
-                assert!(
-                    durable.contains(seq),
-                    "acked record {seq} missing from the crash-consistent prefix"
-                );
-            }
-        }
-        // Further traffic is refused until recovery.
-        let late = WalRecord::Apply {
-            seq: 99,
-            update: Update::insert("emp", tuple![9i64]),
-        };
-        assert!(matches!(
-            group.append_and_sync(&late),
-            Err(WalError::Poisoned)
-        ));
-        // Recovery path: replay drops any torn tail, resume reopens.
-        let (_w, _g) = Arc::try_unwrap(group)
-            .ok()
-            .map(|g| g.into_inner())
-            .expect("sole owner");
-        let replay = replay_wal(&path).unwrap();
-        let mut fresh = DiskGuard::new();
-        let mut w2 = WalWriter::resume(&path, &replay, &mut fresh).unwrap();
-        w2.append(&late, &mut fresh).unwrap();
-        w2.sync(&mut fresh).unwrap();
-        assert_eq!(replay_wal(&path).unwrap().tail, WalTail::Clean);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,6 +12,7 @@ use ccpi_suite::prelude::*;
 use ccpi_suite::storage::tuple;
 use ccpi_suite::workload::queries::{containment_pair, cycle_family, CqcConfig};
 use ccpi_suite::workload::rng;
+use proptest::prelude::*;
 
 /// Theorem 5.1 and Klug's method agree on randomized containment
 /// instances, including unions (heavier than the in-crate proptest: uses
@@ -229,4 +230,81 @@ fn union_coverage_happens_in_practice() {
         }
     }
     assert!(union_needed > 0, "expected some union-only coverings");
+}
+
+/// `random_cqc` with some positive arguments turned into integer
+/// constants — the shape a reduction `RED(t)` has, whose rectification
+/// pins variables to constants.
+fn with_positive_constants(mut q: Cq, r: &mut rand::rngs::StdRng) -> Cq {
+    use rand::RngExt;
+    for atom in &mut q.positives {
+        for arg in &mut atom.args {
+            if r.random_bool(0.35) {
+                *arg = ccpi_suite::ir::Term::int(r.random_range(0..2i64));
+            }
+        }
+    }
+    q
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A prepared union driven through random `add_member` /
+    /// `remove_member` sequences answers every probe exactly like a fresh
+    /// union over the surviving members and like the unindexed one-shot
+    /// test, in the dense and the integer domain.
+    #[test]
+    fn prepared_union_add_remove_matches_fresh_union(
+        seed in any::<u64>(),
+        steps in prop::collection::vec((0u8..3, 0usize..5), 1..12),
+    ) {
+        use ccpi_suite::containment::thm51::PreparedUnion;
+        use ccpi_suite::workload::queries::random_cqc;
+        use rand::RngExt;
+        let mut r = rng(seed);
+        let cfg = CqcConfig { subgoals: 2, variables: 3, comparisons: 2, constants: 3, ..CqcConfig::default() };
+        let pool: Vec<Cq> = (0..5).map(|_| with_positive_constants(random_cqc(&cfg, &mut r), &mut r)).collect();
+        // Probes share one shape: the same positives with different
+        // constants and comparisons rectify to the same subgoals.
+        let shape = with_positive_constants(random_cqc(&cfg, &mut r), &mut r);
+        let probes: Vec<Cq> = (0..3)
+            .map(|_| {
+                let mut p = shape.clone();
+                for arg in p.positives.iter_mut().flat_map(|a| a.args.iter_mut()) {
+                    if arg.is_const() {
+                        *arg = ccpi_suite::ir::Term::int(r.random_range(0..2i64));
+                    }
+                }
+                p.comparisons = random_cqc(&cfg, &mut r).comparisons;
+                p.comparisons.retain(|c| c.vars().all(|v| shape.vars().contains(v)));
+                p
+            })
+            .collect();
+        for solver in [Solver::dense(), Solver::integer()] {
+            let mut union = PreparedUnion::new(&probes[0]).unwrap();
+            let mut held: Vec<Cq> = Vec::new();
+            for &(op, k) in &steps {
+                let member = &pool[k];
+                if op < 2 {
+                    union.add_member(member).unwrap();
+                    held.push(member.clone());
+                } else if let Some(at) = held.iter().position(|m| m == member) {
+                    prop_assert!(union.remove_member(member).unwrap());
+                    held.remove(at);
+                }
+                prop_assert_eq!(union.members(), held.len());
+                let mut fresh = PreparedUnion::new(&probes[0]).unwrap();
+                for m in &held {
+                    fresh.add_member(m).unwrap();
+                }
+                prop_assert_eq!(union.disjunct_count(), fresh.disjunct_count());
+                for p in &probes {
+                    let kept = union.contains(p, solver).unwrap();
+                    prop_assert_eq!(kept, fresh.contains(p, solver).unwrap(), "{} in {:?}", p, held);
+                    prop_assert_eq!(kept, cqc_contained_in_union(p, &held, solver).unwrap(), "{} in {:?}", p, held);
+                }
+            }
+        }
+    }
 }
